@@ -4,11 +4,12 @@
 # simulator-throughput smoke (all three engines: legacy, decoded,
 # warp), the end-to-end tracing smoke, the
 # fault-injection smoke, the multi-tenant serving smoke, the
-# per-construct microbenchmark smoke and the serve-resilience chaos
+# per-construct microbenchmark smoke, the serve-resilience chaos
 # smoke (the same cells run under the `simperf`, `trace`, `faults`,
-# `serve`, `micro` and `chaos` pytest markers), followed by the
-# noise-aware perf-regression gate (`bench compare`, see README
-# "Perf tracking").
+# `serve`, `micro` and `chaos` pytest markers) and the compile-time
+# smoke (`timings --smoke`: uncached pipeline and per-pass wall time),
+# followed by the noise-aware perf-regression gate (`bench compare`,
+# see README "Perf tracking").
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -25,6 +26,7 @@ verify: test
 	$(PYTHON) -m repro.bench serve --smoke --out -
 	$(PYTHON) -m repro.bench micro --smoke
 	$(PYTHON) -m repro.bench chaos --smoke
+	$(PYTHON) -m repro.bench timings --smoke
 	$(PYTHON) -m repro.bench compare --baseline
 	@echo "verify: OK"
 

@@ -8,6 +8,7 @@ Usage::
     python -m repro.bench fig13 [--jobs N]
     python -m repro.bench oversub
     python -m repro.bench timings [--app APP] [--build BUILD]
+    python -m repro.bench timings --smoke [--repeats N]
     python -m repro.bench simperf [--repeats N] [--quick] [--json] [--out PATH]
     python -m repro.bench trace   [--app APP] [--build BUILD] [--out PATH]
                                   [--metrics-out PATH] [--smoke]
@@ -26,6 +27,12 @@ warp engine throughput across the app × build matrix) and writes its
 JSON report to ``BENCH_sim.json`` (tracked in git); ``--json`` prints
 the report to stdout instead of the table, ``--quick`` runs a
 single-cell smoke (all three engines on one app/build).
+
+``timings`` prints one compile's per-pass table (runs, changed runs,
+wall time, instructions removed, functions visited and skipped);
+``timings --smoke`` times uncached compiles of a fixed cell set and
+appends pipeline and per-pass wall time plus the visited/skipped
+counts to the perf history, for ``compare`` to gate.
 
 ``trace`` runs one (app, build) cell with the :mod:`repro.trace`
 collector enabled and writes a Perfetto-viewable Chrome Trace Format
@@ -110,7 +117,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--repeats", type=int, default=3,
-        help="simperf: timed launches per cell (best is reported)",
+        help="simperf: timed launches per cell; timings --smoke: "
+             "compiles per cell (best is reported)",
     )
     parser.add_argument(
         "--sim-jobs", type=int, default=None,
@@ -140,6 +148,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--smoke", action="store_true",
         help="trace: run the fixed fast (app, build) smoke cell; "
+             "timings: time uncached compiles of the smoke cells and "
+             "append them to the perf history; "
              "faults: run the reduced scenario set; "
              "serve: one request per tenant; "
              "micro: one grid point of the construct sweep; "
@@ -197,7 +207,13 @@ def main(argv) -> int:
     if what in ("oversub", "all"):
         print(figures.format_oversubscription(figures.oversubscription_effect()))
         print()
-    if what == "timings":
+    if what == "timings" and args.smoke:
+        from repro.bench import history, timings_cli
+
+        report = timings_cli.timings_report(repeats=args.repeats)
+        history.append_record(history.record_from_report(report))
+        print(timings_cli.format_timings(report))
+    elif what == "timings":
         kwargs = {"app": args.app}
         if args.build is not None:
             kwargs["build"] = args.build

@@ -3,9 +3,9 @@
 The store is deliberately primitive: ``$REPRO_BENCH_HISTORY_DIR/
 history.jsonl`` (default ``.repro-bench/``, gitignored), one
 :func:`repro.bench.record.make_record` JSON object per line, append
-only.  Every CLI run of the three benches (``simperf``, ``serve``,
-``micro``) appends one record, so a working tree accumulates its own
-perf timeline for free.
+only.  Every CLI run of the benches (``simperf``, ``serve``,
+``micro``, ``chaos``, ``timings --smoke``) appends one record, so a
+working tree accumulates its own perf timeline for free.
 
 ``python -m repro.bench compare`` diffs two records metric-by-metric
 over the *intersection* of their metric names (so a ``--quick`` run
@@ -116,6 +116,10 @@ def record_from_report(report: Dict[str, Any]) -> Dict[str, Any]:
         metrics = _micro_metrics(report)
     elif benchmark == "chaos":
         metrics = _chaos_metrics(report)
+    elif benchmark == "timings":
+        from repro.bench.timings_cli import timings_metrics
+
+        metrics = timings_metrics(report)
     else:
         raise KeyError(f"cannot build a history record from {benchmark!r}")
     return record.make_record(

@@ -82,8 +82,6 @@ def measure_cell(
     warp_fallback = False
     for _ in range(max(1, repeats)):
         gpu = VirtualGPU(compiled.module, config=GPUConfig(), engine=engine)
-        if engine == ENGINE_WARP and not gpu._warp_lockstep_ok:
-            warp_fallback = True
         host_args, _verify = app.prepare(gpu, size)
         spec = LaunchSpec(
             kernel=app.KERNEL,
@@ -93,8 +91,10 @@ def measure_cell(
             sim_jobs=sim_jobs,
         )
         t0 = time.perf_counter()
-        profile = gpu.run(spec).profile
+        result = gpu.run(spec)
         walls.append(max(time.perf_counter() - t0, 1e-9))
+        profile = result.profile
+        warp_fallback = result.engine != engine
     best = min(walls)
     wall_stats = record.stats(walls)
     cell = {

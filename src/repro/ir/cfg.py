@@ -65,20 +65,25 @@ def reachable_blocks(func: Function) -> Set[BasicBlock]:
 class DominatorTree:
     """Immediate-dominator tree for one function."""
 
-    def __init__(self, func: Function) -> None:
+    def __init__(
+        self,
+        func: Function,
+        preds: Optional[Dict[BasicBlock, List[BasicBlock]]] = None,
+    ) -> None:
         self.function = func
         self.idom: Dict[BasicBlock, Optional[BasicBlock]] = {}
         self._order_index: Dict[BasicBlock, int] = {}
-        self._compute()
+        self._compute(preds)
 
-    def _compute(self) -> None:
+    def _compute(self, preds: Optional[Dict[BasicBlock, List[BasicBlock]]]) -> None:
         func = self.function
         if not func.blocks:
             return
         rpo = reverse_post_order(func)
         index = {b: i for i, b in enumerate(rpo)}
         self._order_index = index
-        preds = predecessors(func)
+        if preds is None:
+            preds = predecessors(func)
         entry = func.entry
         idom: Dict[BasicBlock, Optional[BasicBlock]] = {entry: entry}
 

@@ -10,7 +10,7 @@ expressed as calls to known intrinsics.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.ir.types import (
     I1,
@@ -66,37 +66,56 @@ class Instruction(Value):
 
     # -- operand management ---------------------------------------------------
 
+    def touch(self) -> None:
+        """Mark the enclosing function changed (no-op while detached)."""
+        block = self.parent
+        if block is not None and block.parent is not None:
+            block.parent.ir_version += 1
+
     def _append_operand(self, value: Value) -> None:
         index = len(self.operands)
         self.operands.append(value)
         value.add_use(self, index)
+        if self.parent is not None:
+            self.touch()
 
     def set_operand(self, index: int, value: Value) -> None:
         old = self.operands[index]
         old.remove_use(self, index)
         self.operands[index] = value
         value.add_use(self, index)
+        self.touch()
 
     def drop_all_references(self) -> None:
         """Remove this instruction's uses of its operands."""
         for index, op in enumerate(self.operands):
             op.remove_use(self, index)
         self.operands = []
+        self.touch()
 
     def erase_from_parent(self) -> None:
         """Unlink from the parent block and drop operand uses."""
+        block = self.parent
+        self.detach()
+        block.instructions.remove(self)
+
+    def detach(self) -> None:
+        """Erase without the O(block size) list removal: the block keeps
+        a stale slot until :meth:`BasicBlock.purge_detached`.  For passes
+        that erase many instructions of one block in a row; they must
+        purge before anything else walks the block."""
         assert self.parent is not None, "instruction not in a block"
         if self.uses:
             raise ValueError(f"erasing {self!r} which still has uses")
-        self.parent.instructions.remove(self)
         self.drop_all_references()
         self.parent = None
 
     # -- classification ---------------------------------------------------------
 
-    @property
-    def is_terminator(self) -> bool:
-        return isinstance(self, (Br, CondBr, Ret, Unreachable))
+    #: True for block terminators (``br``, ``condbr``, ``ret``,
+    #: ``unreachable``); a class attribute, as it is read in every
+    #: cleanup and verifier loop.
+    is_terminator = False
 
     @property
     def function(self) -> Optional["Function"]:
@@ -325,12 +344,14 @@ class Phi(Instruction):
                     op.add_use(self, j - 1)
                 del self.operands[i]
                 del self.incoming_blocks[i]
+                self.touch()
                 return
         raise KeyError(f"no incoming edge from {block.name}")
 
 
 class Br(Instruction):
     __slots__ = ("target",)
+    is_terminator = True
 
     def __init__(self, target: "BasicBlock") -> None:
         super().__init__("br", VOID, [])
@@ -339,6 +360,7 @@ class Br(Instruction):
 
 class CondBr(Instruction):
     __slots__ = ("true_target", "false_target")
+    is_terminator = True
 
     def __init__(self, cond: Value, true_target: "BasicBlock", false_target: "BasicBlock") -> None:
         if cond.type != I1:
@@ -354,6 +376,7 @@ class CondBr(Instruction):
 
 class Ret(Instruction):
     __slots__ = ()
+    is_terminator = True
 
     def __init__(self, value: Optional[Value] = None) -> None:
         super().__init__("ret", VOID, [value] if value is not None else [])
@@ -365,9 +388,14 @@ class Ret(Instruction):
 
 class Unreachable(Instruction):
     __slots__ = ()
+    is_terminator = True
 
     def __init__(self) -> None:
         super().__init__("unreachable", VOID, [])
+
+
+#: ``repro.ir.module.Function``, bound on first use by ``Call.callee``.
+_Function = None
 
 
 class Call(Instruction):
@@ -389,10 +417,11 @@ class Call(Instruction):
     @property
     def callee(self) -> Optional["Function"]:
         """The statically known callee, if this is a direct call."""
-        from repro.ir.module import Function
-
-        cv = self.callee_operand
-        return cv if isinstance(cv, Function) else None
+        global _Function
+        if _Function is None:  # deferred: repro.ir.module imports this module
+            from repro.ir.module import Function as _Function
+        cv = self.operands[0]
+        return cv if isinstance(cv, _Function) else None
 
     def is_readnone_callee(self) -> bool:
         callee = self.callee
@@ -419,51 +448,49 @@ class AtomicRMW(Instruction):
         return self.operands[1]
 
 
+#: Per-class extra slots (beyond ``Instruction``'s) that a clone copies.
+_CLONE_SLOTS: Dict[type, Tuple[str, ...]] = {}
+
+
+def _clone_slots(cls: type) -> Tuple[str, ...]:
+    slots = _CLONE_SLOTS.get(cls)
+    if slots is None:
+        if cls is Instruction or not issubclass(cls, Instruction):
+            raise TypeError(f"cannot clone {cls.__name__}")
+        own: List[str] = []
+        for klass in cls.__mro__:
+            if klass is Instruction:
+                break
+            own.extend(klass.__dict__.get("__slots__", ()))
+        slots = _CLONE_SLOTS[cls] = tuple(own)
+    return slots
+
+
 def clone_instruction(inst: Instruction, operand_map: Dict[Value, Value]) -> Instruction:
     """Clone *inst*, remapping operands through *operand_map*.
 
     Block targets of terminators and phi incoming blocks are *not*
-    remapped here; callers (the inliner) fix those up afterwards.
+    remapped here; callers (the inliner) fix those up afterwards.  A
+    cloned phi starts with no incoming edges.  The clone copies the
+    fields of an already valid instruction, so it skips the
+    constructors' checks (the inliner clones thousands per compile).
     """
-
-    def m(v: Value) -> Value:
-        return operand_map.get(v, v)
-
-    if isinstance(inst, BinOp):
-        new: Instruction = BinOp(inst.opcode, m(inst.lhs), m(inst.rhs), inst.name)
-    elif isinstance(inst, ICmp):
-        new = ICmp(inst.predicate, m(inst.lhs), m(inst.rhs), inst.name)
-    elif isinstance(inst, FCmp):
-        new = FCmp(inst.predicate, m(inst.operands[0]), m(inst.operands[1]), inst.name)
-    elif isinstance(inst, Select):
-        new = Select(m(inst.condition), m(inst.true_value), m(inst.false_value), inst.name)
-    elif isinstance(inst, Cast):
-        new = Cast(inst.opcode, m(inst.source), inst.type, inst.name)
-    elif isinstance(inst, Alloca):
-        new = Alloca(inst.allocated_type, inst.name)
-    elif isinstance(inst, Load):
-        new = Load(inst.type, m(inst.pointer), inst.name, inst.is_volatile)
-    elif isinstance(inst, Store):
-        new = Store(m(inst.value), m(inst.pointer), inst.is_volatile)
-    elif isinstance(inst, PtrAdd):
-        new = PtrAdd(m(inst.pointer), m(inst.offset), inst.name)
-    elif isinstance(inst, Phi):
-        new = Phi(inst.type, inst.name)
-        # Incoming values/blocks are fixed up by the caller.
-    elif isinstance(inst, Br):
-        new = Br(inst.target)
-    elif isinstance(inst, CondBr):
-        new = CondBr(m(inst.condition), inst.true_target, inst.false_target)
-    elif isinstance(inst, Ret):
-        rv = inst.return_value
-        new = Ret(m(rv) if rv is not None else None)
-    elif isinstance(inst, Unreachable):
-        new = Unreachable()
-    elif isinstance(inst, Call):
-        new = Call(m(inst.callee_operand), [m(a) for a in inst.args], inst.type, inst.name)
-    elif isinstance(inst, AtomicRMW):
-        new = AtomicRMW(inst.operation, m(inst.pointer), m(inst.value), inst.name)
-    else:  # pragma: no cover - future instruction kinds
-        raise TypeError(f"cannot clone {type(inst).__name__}")
+    cls = type(inst)
+    new = cls.__new__(cls)
+    for slot in _clone_slots(cls):
+        setattr(new, slot, getattr(inst, slot))
+    new.type = inst.type
+    new.name = inst.name
+    new.uses = []
+    new.opcode = inst.opcode
+    new.parent = None
     new.attrs = set(inst.attrs)
+    if cls is Phi:
+        new.operands = []
+        new.incoming_blocks = []  # type: ignore[attr-defined]
+    else:
+        operands = [operand_map.get(v, v) for v in inst.operands]
+        new.operands = operands
+        for index, value in enumerate(operands):
+            value.add_use(new, index)
     return new

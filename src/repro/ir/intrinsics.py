@@ -157,8 +157,10 @@ def declare_intrinsic(module: Module, name: str) -> Function:
     if info is None:
         raise KeyError(f"unknown intrinsic: {name}")
     func = module.declare(name, info.function_type)
-    if info.readnone:
+    if info.readnone and "readnone" not in func.attrs:
         func.attrs.add("readnone")
+        # Calls to it just became removable when dead (DCE reads it).
+        func.touch_users()
     if info.is_barrier:
         func.attrs.add("convergent")
         func.assumptions.add("ext_no_call_asm")

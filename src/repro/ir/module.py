@@ -24,11 +24,15 @@ class BasicBlock:
             raise ValueError(f"appending past terminator in block {self.name}")
         inst.parent = self
         self.instructions.append(inst)
+        if self.parent is not None:
+            self.parent.ir_version += 1
         return inst
 
     def insert(self, index: int, inst: Instruction) -> Instruction:
         inst.parent = self
         self.instructions.insert(index, inst)
+        if self.parent is not None:
+            self.parent.ir_version += 1
         return inst
 
     def insert_before(self, anchor: Instruction, inst: Instruction) -> Instruction:
@@ -36,6 +40,10 @@ class BasicBlock:
 
     def insert_after(self, anchor: Instruction, inst: Instruction) -> Instruction:
         return self.insert(self.instructions.index(anchor) + 1, inst)
+
+    def purge_detached(self) -> None:
+        """Drop the slots of instructions erased with ``detach``."""
+        self.instructions[:] = [i for i in self.instructions if i.parent is self]
 
     @property
     def terminator(self) -> Optional[Instruction]:
@@ -92,6 +100,7 @@ class Function(Value):
         "assumptions",
         "param_attrs",
         "parent",
+        "ir_version",
     )
 
     def __init__(
@@ -125,6 +134,27 @@ class Function(Value):
         #: Per-parameter attribute sets (index -> {"readonly", "noalias"}).
         self.param_attrs: Dict[int, Set[str]] = {}
         self.parent = None
+        #: Bumped by every mutation of this function's body (see
+        #: :meth:`touch`); change-driven passes and cached CFG analyses
+        #: compare it against the value they last saw.
+        self.ir_version = 0
+
+    def __setstate__(self, state) -> None:
+        # Pickles written before ``ir_version`` existed lack the slot.
+        self.ir_version = 0
+        _, slots = state
+        for key, value in slots.items():
+            setattr(self, key, value)
+
+    def touch(self) -> None:
+        """Record that this function's body changed.
+
+        The IR mutation APIs (operand updates, inserting and erasing
+        instructions, adding and removing blocks) call it themselves;
+        code that edits ``blocks``/``instructions`` lists or branch
+        targets directly must call it too.
+        """
+        self.ir_version += 1
 
     # -- structure -------------------------------------------------------------
 
@@ -142,16 +172,28 @@ class Function(Value):
     def return_type(self) -> Type:
         return self.function_type.return_type
 
-    def add_block(self, name: str, after: Optional[BasicBlock] = None) -> BasicBlock:
-        block = BasicBlock(self._unique_block_name(name), self)
+    def add_block(
+        self,
+        name: str,
+        after: Optional[BasicBlock] = None,
+        taken: Optional[Set[str]] = None,
+    ) -> BasicBlock:
+        """Append (or insert after *after*) a block named *name*, made
+        unique.  Callers adding many blocks may pass *taken*, the set of
+        block names in use, which this call keeps up to date."""
+        if taken is None:
+            taken = {b.name for b in self.blocks}
+        block = BasicBlock(self._unique_block_name(name, taken), self)
+        taken.add(block.name)
         if after is None:
             self.blocks.append(block)
         else:
             self.blocks.insert(self.blocks.index(after) + 1, block)
+        self.ir_version += 1
         return block
 
-    def _unique_block_name(self, base: str) -> str:
-        existing = {b.name for b in self.blocks}
+    @staticmethod
+    def _unique_block_name(base: str, existing: Set[str]) -> str:
         if base not in existing:
             return base
         i = 1
@@ -166,6 +208,7 @@ class Function(Value):
         block.instructions.clear()
         self.blocks.remove(block)
         block.parent = None
+        self.ir_version += 1
 
     def instructions(self) -> Iterator[Instruction]:
         for block in self.blocks:

@@ -65,6 +65,15 @@ class Value:
         for use in list(self.uses):
             use.user.set_operand(use.index, new)
 
+    def touch_users(self) -> None:
+        """Mark every function with an instruction using this value
+        changed: for module-level facts folding reads off the value
+        itself (a global's constness or initializer, a callee's
+        attributes), which change no function body."""
+        # ``uses`` is still unset while a pickled global is restored.
+        for use in getattr(self, "uses", ()):
+            use.user.touch()
+
     @property
     def num_uses(self) -> int:
         return len(self.uses)
@@ -181,9 +190,9 @@ class GlobalVariable(Value):
     __slots__ = (
         "value_type",
         "addrspace",
-        "initializer",
+        "_initializer",
         "linkage",
-        "is_constant",
+        "_is_constant",
         "parent",
     )
 
@@ -205,6 +214,28 @@ class GlobalVariable(Value):
         self.linkage = linkage
         self.is_constant = is_constant
         self.parent = None
+
+    # Constness and the initializer are facts folding reads (constant
+    # global loads fold to the initializer), so changing either marks
+    # every function using the global changed.
+
+    @property
+    def is_constant(self) -> bool:
+        return self._is_constant
+
+    @is_constant.setter
+    def is_constant(self, value: bool) -> None:
+        self._is_constant = value
+        self.touch_users()
+
+    @property
+    def initializer(self) -> Union[None, bytes, Sequence[Constant]]:
+        return self._initializer
+
+    @initializer.setter
+    def initializer(self, value: Union[None, bytes, Sequence[Constant]]) -> None:
+        self._initializer = value
+        self.touch_users()
 
     def short(self) -> str:
         return f"@{self.name}"

@@ -11,6 +11,7 @@ different teams, exactly like a real GPU shared-memory address.
 
 from __future__ import annotations
 
+import ctypes
 import struct
 import threading
 from typing import Dict, Optional, Tuple, Union
@@ -158,9 +159,6 @@ class MemorySystem:
         #: Post-load device image captured by :meth:`snapshot_device_image`
         #: (segment -> (brk, high_water, data-prefix, allocations)).
         self._device_image: Optional[Dict[str, Tuple[int, int, bytes, Dict[int, int]]]] = None
-        #: Cached zero buffers for in-place segment restores, keyed by
-        #: tail length (avoids a fresh multi-MB ``bytes`` per reset).
-        self._zero_tails: Dict[int, bytes] = {}
 
     # -- warm-reset support -------------------------------------------------------
 
@@ -182,17 +180,21 @@ class MemorySystem:
         return (seg.brk, seg.high_water, bytes(seg.data[: seg.brk]),
                 dict(seg.allocations))
 
+    @staticmethod
     def _restore_segment(
-        self, seg: Segment, snap: Tuple[int, int, bytes, Dict[int, int]]
+        seg: Segment, snap: Tuple[int, int, bytes, Dict[int, int]]
     ) -> None:
         brk, high_water, prefix, allocations = snap
         seg.data[:brk] = prefix
+        # Everything past the post-load break was zero.  Kernels may have
+        # written anywhere in the segment (the warp engine stores through
+        # NumPy views of it), so no smaller region is sound to restore;
+        # zero the whole tail in place with one memset, which costs no
+        # more than the zeroed allocation a fresh device makes, instead
+        # of copying from a zero buffer of the same size.
         tail = len(seg.data) - brk
         if tail:
-            zeros = self._zero_tails.get(tail)
-            if zeros is None:
-                zeros = self._zero_tails.setdefault(tail, bytes(tail))
-            seg.data[brk:] = zeros
+            ctypes.memset((ctypes.c_char * tail).from_buffer(seg.data, brk), 0, tail)
         seg.brk = brk
         seg.high_water = high_water
         seg.allocations = dict(allocations)

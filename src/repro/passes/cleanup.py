@@ -9,7 +9,8 @@ which is where the shared-memory savings of Fig. 11 come from.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.memory.memmodel import decode_scalar, scalar_size
 from repro.ir.cfg import predecessors, reachable_blocks
@@ -149,84 +150,120 @@ def _fold_pointer_difference_icmp(inst: ICmp) -> Optional[Constant]:
     return Constant(I1, 1 if result else 0)
 
 
+def _simplify_binop(inst: BinOp) -> Optional[Value]:
+    lhs, rhs = inst.lhs, inst.rhs
+    if isinstance(lhs, Constant) and isinstance(rhs, Constant):
+        return fold_binop(inst.opcode, lhs, rhs)
+    if isinstance(rhs, Constant) and rhs.value == 0:
+        if inst.opcode in ("add", "sub", "or", "xor", "shl", "lshr", "ashr"):
+            return lhs
+        if inst.opcode == "mul":
+            return rhs
+    if isinstance(lhs, Constant) and lhs.value == 0:
+        if inst.opcode in ("add", "or", "xor"):
+            return rhs
+        if inst.opcode in ("mul", "and"):
+            return lhs
+    if isinstance(rhs, Constant) and rhs.value == 1 and inst.opcode in ("mul", "sdiv", "udiv"):
+        return lhs
+    return None
+
+
+def _simplify_icmp(inst: ICmp) -> Optional[Value]:
+    if isinstance(inst.lhs, Constant) and isinstance(inst.rhs, Constant):
+        return fold_icmp(inst.predicate, inst.lhs, inst.rhs)
+    if inst.lhs is inst.rhs:
+        from repro.ir.types import I1
+
+        return Constant(I1, 1 if inst.predicate in ("eq", "ule", "uge", "sle", "sge") else 0)
+    return _fold_pointer_difference_icmp(inst)
+
+
+def _simplify_fcmp(inst: FCmp) -> Optional[Value]:
+    if isinstance(inst.operands[0], Constant) and isinstance(inst.operands[1], Constant):
+        return fold_fcmp(inst.predicate, inst.operands[0], inst.operands[1])
+    return None
+
+
+def _simplify_select(inst: Select) -> Optional[Value]:
+    if isinstance(inst.condition, Constant):
+        return inst.true_value if inst.condition.value else inst.false_value
+    if inst.true_value is inst.false_value:
+        return inst.true_value
+    return None
+
+
+def _simplify_cast(inst: Cast) -> Optional[Value]:
+    src = inst.source
+    if isinstance(src, Constant):
+        return fold_cast(inst.opcode, src, inst.type)
+    # inttoptr(ptrtoint X) -> X ; ptrtoint(inttoptr Y) -> Y
+    if inst.opcode == "inttoptr" and isinstance(src, Cast) and src.opcode == "ptrtoint":
+        inner = src.source
+        if isinstance(inner.type, PointerType):
+            return inner
+    if inst.opcode == "ptrtoint" and isinstance(src, Cast) and src.opcode == "inttoptr":
+        return src.source
+    if inst.opcode == "bitcast" and src.type == inst.type:
+        return src
+    return None
+
+
+def _simplify_ptradd(inst: PtrAdd) -> Optional[Value]:
+    if isinstance(inst.offset, Constant) and inst.offset.value == 0:
+        return inst.pointer
+    return None
+
+
+def _simplify_phi(inst: Phi) -> Optional[Value]:
+    distinct = {op for op in inst.operands if op is not inst}
+    non_undef = {op for op in distinct if not isinstance(op, UndefValue)}
+    if len(non_undef) == 1:
+        return next(iter(non_undef))
+    return None
+
+
+def _simplify_call(inst: Call) -> Optional[Value]:
+    callee = inst.callee
+    if callee is None:
+        return None
+    info = intrinsic_info(callee.name)
+    if info is None:
+        return None
+    if info.constant_result is not None:
+        return Constant(inst.type, info.constant_result)
+    if info.readnone and all(isinstance(a, Constant) for a in inst.args):
+        folded = fold_math_intrinsic(callee.name, list(inst.args))
+        if folded is not None:
+            return folded
+    return None
+
+
+def _simplify_load(inst: Load) -> Optional[Value]:
+    if inst.is_volatile:
+        return None
+    return fold_constant_global_load(inst)
+
+
+#: Per-opcode-class simplifiers (dispatch on the exact class: the
+#: instruction classes have no subclasses).
+_SIMPLIFIERS = {
+    BinOp: _simplify_binop,
+    ICmp: _simplify_icmp,
+    FCmp: _simplify_fcmp,
+    Select: _simplify_select,
+    Cast: _simplify_cast,
+    PtrAdd: _simplify_ptradd,
+    Phi: _simplify_phi,
+    Call: _simplify_call,
+    Load: _simplify_load,
+}
+
+
 def simplify_instruction(inst: Instruction) -> Optional[Value]:
     """Return a simpler equivalent value for *inst*, or None."""
-    if isinstance(inst, BinOp):
-        lhs, rhs = inst.lhs, inst.rhs
-        if isinstance(lhs, Constant) and isinstance(rhs, Constant):
-            return fold_binop(inst.opcode, lhs, rhs)
-        if isinstance(rhs, Constant) and rhs.value == 0:
-            if inst.opcode in ("add", "sub", "or", "xor", "shl", "lshr", "ashr"):
-                return lhs
-            if inst.opcode == "mul":
-                return rhs
-        if isinstance(lhs, Constant) and lhs.value == 0:
-            if inst.opcode in ("add", "or", "xor"):
-                return rhs
-            if inst.opcode in ("mul", "and"):
-                return lhs
-        if isinstance(rhs, Constant) and rhs.value == 1 and inst.opcode in ("mul", "sdiv", "udiv"):
-            return lhs
-        return None
-    if isinstance(inst, ICmp):
-        if isinstance(inst.lhs, Constant) and isinstance(inst.rhs, Constant):
-            return fold_icmp(inst.predicate, inst.lhs, inst.rhs)
-        if inst.lhs is inst.rhs:
-            from repro.ir.types import I1
-
-            return Constant(I1, 1 if inst.predicate in ("eq", "ule", "uge", "sle", "sge") else 0)
-        return _fold_pointer_difference_icmp(inst)
-    if isinstance(inst, FCmp):
-        if isinstance(inst.operands[0], Constant) and isinstance(inst.operands[1], Constant):
-            return fold_fcmp(inst.predicate, inst.operands[0], inst.operands[1])
-        return None
-    if isinstance(inst, Select):
-        if isinstance(inst.condition, Constant):
-            return inst.true_value if inst.condition.value else inst.false_value
-        if inst.true_value is inst.false_value:
-            return inst.true_value
-        return None
-    if isinstance(inst, Cast):
-        src = inst.source
-        if isinstance(src, Constant):
-            return fold_cast(inst.opcode, src, inst.type)
-        # inttoptr(ptrtoint X) -> X ; ptrtoint(inttoptr Y) -> Y
-        if inst.opcode == "inttoptr" and isinstance(src, Cast) and src.opcode == "ptrtoint":
-            inner = src.source
-            if isinstance(inner.type, PointerType):
-                return inner
-        if inst.opcode == "ptrtoint" and isinstance(src, Cast) and src.opcode == "inttoptr":
-            return src.source
-        if inst.opcode == "bitcast" and src.type == inst.type:
-            return src
-        return None
-    if isinstance(inst, PtrAdd):
-        if isinstance(inst.offset, Constant) and inst.offset.value == 0:
-            return inst.pointer
-        return None
-    if isinstance(inst, Phi):
-        distinct = {op for op in inst.operands if op is not inst}
-        non_undef = {op for op in distinct if not isinstance(op, UndefValue)}
-        if len(non_undef) == 1:
-            return next(iter(non_undef))
-        return None
-    if isinstance(inst, Call):
-        callee = inst.callee
-        if callee is None:
-            return None
-        info = intrinsic_info(callee.name)
-        if info is None:
-            return None
-        if info.constant_result is not None:
-            return Constant(inst.type, info.constant_result)
-        if info.readnone and all(isinstance(a, Constant) for a in inst.args):
-            folded = fold_math_intrinsic(callee.name, list(inst.args))
-            if folded is not None:
-                return folded
-        return None
-    if isinstance(inst, Load) and not inst.is_volatile:
-        return fold_constant_global_load(inst)
-    return None
+    simplifier = _SIMPLIFIERS.get(type(inst))
+    return simplifier(inst) if simplifier is not None else None
 
 
 def _combine_ptradd_chain(inst: PtrAdd) -> Optional[PtrAdd]:
@@ -246,30 +283,94 @@ def _combine_ptradd_chain(inst: PtrAdd) -> Optional[PtrAdd]:
     return None
 
 
-def run_instcombine(func: Function) -> bool:
+class Worklist:
+    """Instructions of one function still to (re)visit, in FIFO order.
+
+    LLVM-style: seeded once with every instruction, after which only the
+    instructions a rewrite may have affected come back -- the users of a
+    replaced value (they may simplify now) and the operands of an erased
+    instruction (they may be dead now).  Each instruction is queued at
+    most once at a time.  The drain loops below pop from ``queue`` and
+    discard from ``queued`` inline: this is the hottest loop of the
+    pipeline.
+    """
+
+    __slots__ = ("queue", "queued")
+
+    def __init__(self, insts: List[Instruction]) -> None:
+        self.queue: Deque[Instruction] = deque(insts)
+        self.queued: Set[Instruction] = set(insts)
+
+    def push(self, value: Value) -> None:
+        if isinstance(value, Instruction) and value not in self.queued:
+            self.queued.add(value)
+            self.queue.append(value)
+
+    def push_users(self, value: Value) -> None:
+        for use in value.uses:
+            self.push(use.user)
+
+
+class CleanupWork:
+    """The two worklists of one function's cleanup: instructions to
+    re-simplify and instructions to re-check for deadness."""
+
+    __slots__ = ("combine", "dead", "_detached")
+
+    def __init__(self, func: Function) -> None:
+        insts = [inst for block in func.blocks for inst in block.instructions]
+        self.combine = Worklist(insts)
+        insts.reverse()
+        self.dead = Worklist(insts)
+        self._detached: Dict[BasicBlock, None] = {}
+
+    def erase(self, inst: Instruction) -> None:
+        """Erase *inst*; its operands may have become dead."""
+        operands = list(inst.operands)
+        self._detached[inst.parent] = None
+        inst.detach()
+        for op in operands:
+            self.dead.push(op)
+
+    def purge(self) -> None:
+        """Drop the block slots of erased instructions (see ``detach``)."""
+        for block in self._detached:
+            block.purge_detached()
+        self._detached.clear()
+
+    def replace(self, inst: Instruction, value: Value) -> None:
+        """RAUW *inst* with *value*; its users may simplify further."""
+        self.combine.push_users(inst)
+        inst.replace_all_uses_with(value)
+
+
+def run_instcombine(func: Function, work: Optional[CleanupWork] = None) -> bool:
     """Local folding to fixpoint within one function."""
+    if work is None:
+        work = CleanupWork(func)
     changed = False
-    again = True
-    while again:
-        again = False
-        for block in func.blocks:
-            for inst in list(block.instructions):
-                if inst.parent is None:
-                    continue
-                replacement = simplify_instruction(inst)
-                if replacement is not None and replacement is not inst:
-                    inst.replace_all_uses_with(replacement)
-                    if not inst.uses and not inst.is_terminator:
-                        inst.erase_from_parent()
-                    again = changed = True
-                    continue
-                if isinstance(inst, PtrAdd):
-                    combined = _combine_ptradd_chain(inst)
-                    if combined is not None:
-                        block.insert_before(inst, combined)
-                        inst.replace_all_uses_with(combined)
-                        inst.erase_from_parent()
-                        again = changed = True
+    queue, queued = work.combine.queue, work.combine.queued
+    while queue:
+        inst = queue.popleft()
+        queued.discard(inst)
+        if inst.parent is None:
+            continue
+        replacement = simplify_instruction(inst)
+        if replacement is not None and replacement is not inst:
+            work.replace(inst, replacement)
+            if not inst.uses and not inst.is_terminator:
+                work.erase(inst)
+            changed = True
+            continue
+        if type(inst) is PtrAdd:
+            combined = _combine_ptradd_chain(inst)
+            if combined is not None:
+                inst.parent.insert_before(inst, combined)
+                work.replace(inst, combined)
+                work.erase(inst)
+                work.combine.push(combined)
+                changed = True
+    work.purge()
     return changed
 
 
@@ -286,20 +387,61 @@ def _is_removable_dead(inst: Instruction) -> bool:
     return not inst.may_have_side_effects()
 
 
-def run_dce(func: Function) -> bool:
+def run_dce(func: Function, work: Optional[CleanupWork] = None) -> bool:
+    """Erase trivially dead instructions to fixpoint within one function."""
+    if work is None:
+        work = CleanupWork(func)
     changed = False
-    again = True
-    while again:
-        again = False
-        for block in func.blocks:
-            for inst in reversed(list(block.instructions)):
-                if inst.parent is not None and _is_removable_dead(inst):
-                    inst.erase_from_parent()
-                    again = changed = True
+    queue, queued = work.dead.queue, work.dead.queued
+    while queue:
+        inst = queue.popleft()
+        queued.discard(inst)
+        if not inst.uses and inst.parent is not None and _is_removable_dead(inst):
+            work.erase(inst)
+            changed = True
+    work.purge()
     return changed
 
 
-def run_simplify_cfg(func: Function) -> bool:
+def _drop_phi_edge(phi: Phi, block: BasicBlock, work: Optional[CleanupWork]) -> None:
+    """Remove *phi*'s incoming edge from *block*, if it has one."""
+    try:
+        value = phi.incoming_value_for(block)
+    except KeyError:
+        return
+    phi.remove_incoming(block)
+    if work is not None:
+        work.combine.push(phi)
+        work.dead.push(value)
+
+
+def _replace_terminator(block: BasicBlock, target: BasicBlock,
+                        work: Optional[CleanupWork]) -> None:
+    """Replace *block*'s conditional branch with ``br target``."""
+    term = block.instructions.pop()
+    operands = list(term.operands)
+    term.drop_all_references()
+    term.parent = None
+    block.append(Br(target))
+    if work is not None:
+        for op in operands:
+            work.dead.push(op)
+
+
+def run_simplify_cfg(
+    func: Function,
+    work: Optional[CleanupWork] = None,
+    preds: Optional[Dict[BasicBlock, List[BasicBlock]]] = None,
+) -> bool:
+    """Fold constant branches and empty diamonds, delete unreachable
+    blocks and merge straight-line block pairs, to fixpoint.
+
+    *preds* (the CFG predecessors on entry, e.g. a cached map) is copied,
+    and the copy is kept up to date as edges change instead of being
+    recomputed.  With *work*, instructions the edits may have made
+    foldable or dead are queued on it.
+    """
+    preds = {b: list(ps) for b, ps in (preds or predecessors(func)).items()}
     changed = False
     again = True
     while again:
@@ -318,22 +460,16 @@ def run_simplify_cfg(func: Function) -> bool:
                     dropped = (
                         term.false_target if target is term.true_target else term.true_target
                     )
-                    block.instructions.pop()
-                    term.drop_all_references()
-                    term.parent = None
-                    block.append(Br(target))
+                    _replace_terminator(block, target, work)
                     if dropped is not target:
+                        preds[dropped].remove(block)
                         for phi in dropped.phis():
-                            try:
-                                phi.remove_incoming(block)
-                            except KeyError:
-                                pass
+                            _drop_phi_edge(phi, block, work)
                     again = changed = True
 
         # Fold empty diamonds: `condbr c, A, B` where A contains only
         # `br B` collapses to `br B` (the husk left behind once a
         # guarded write is dead-store-eliminated).
-        preds0 = predecessors(func)
         for block in list(func.blocks):
             term = block.terminator
             if not isinstance(term, CondBr) or term.true_target is term.false_target:
@@ -344,13 +480,11 @@ def run_simplify_cfg(func: Function) -> bool:
                     len(arm.instructions) == 1
                     and isinstance(arm.terminator, Br)
                     and arm.terminator.target is other
-                    and preds0.get(arm) == [block]
+                    and preds.get(arm) == [block]
                     and not other.phis()
                 ):
-                    block.instructions.pop()
-                    term.drop_all_references()
-                    term.parent = None
-                    block.append(Br(other))
+                    _replace_terminator(block, other, work)
+                    preds[arm].remove(block)
                     again = changed = True
                     break
             if again:
@@ -366,11 +500,9 @@ def run_simplify_cfg(func: Function) -> bool:
             for block in dead:
                 for succ in block.successors():
                     if succ in reachable:
+                        preds[succ].remove(block)
                         for phi in succ.phis():
-                            try:
-                                phi.remove_incoming(block)
-                            except KeyError:
-                                pass
+                            _drop_phi_edge(phi, block, work)
             # Break operand references among dead blocks before removal.
             for block in dead:
                 for inst in block.instructions:
@@ -381,12 +513,18 @@ def run_simplify_cfg(func: Function) -> bool:
                         # A reachable user of a dead def can only be a phi
                         # on a removed edge; drop it defensively.
                         use.user.set_operand(use.index, UndefValue(inst.type))
+                        if work is not None:
+                            work.combine.push(use.user)
             for block in dead:
+                if work is not None:
+                    for inst in block.instructions:
+                        for op in inst.operands:
+                            work.dead.push(op)
                 func.remove_block(block)
+                del preds[block]
             again = changed = True
 
         # Merge single-successor/single-predecessor block pairs.
-        preds = predecessors(func)
         for block in list(func.blocks):
             if block is func.entry:
                 continue
@@ -399,16 +537,20 @@ def run_simplify_cfg(func: Function) -> bool:
                 continue
             if block.phis():
                 for phi in block.phis():
+                    if work is not None:
+                        work.combine.push_users(phi)
                     phi.replace_all_uses_with(phi.incoming_value_for(pred))
                     phi.remove_incoming(pred)
                     phi.erase_from_parent()
             pred.instructions.pop()
             term.drop_all_references()
             term.parent = None
+            succs = block.successors()
             for inst in block.instructions:
                 inst.parent = pred
                 pred.instructions.append(inst)
-            for succ in block.successors():
+            for succ in succs:
+                preds[succ] = [pred if p is block else p for p in preds[succ]]
                 for phi in succ.phis():
                     for i, incoming in enumerate(phi.incoming_blocks):
                         if incoming is block:
@@ -416,8 +558,9 @@ def run_simplify_cfg(func: Function) -> bool:
             block.instructions = []
             func.blocks.remove(block)
             block.parent = None
+            del preds[block]
+            func.touch()
             again = changed = True
-            preds = predecessors(func)
     return changed
 
 
@@ -456,20 +599,36 @@ def remove_dead_functions(module: Module, keep: Set[str] = frozenset()) -> bool:
 
 
 class CleanupPass:
-    """fold + dce + simplifycfg to fixpoint, then dead global/function elim."""
+    """fold + dce + simplifycfg to fixpoint, then dead global/function elim.
+
+    Change-driven: a function this pass already left at its fixpoint,
+    and that nothing touched since, is skipped.
+    """
 
     name = "cleanup"
 
     def run(self, module: Module, ctx: PassContext) -> bool:
-        changed = False
-        for func in list(module.defined_functions()):
-            local = True
-            while local:
-                local = False
-                local |= run_instcombine(func)
-                local |= run_dce(func)
-                local |= run_simplify_cfg(func)
-                changed |= local
+        changed = ctx.changes.run_per_function(
+            self.name, module, lambda func: cleanup_function(func, ctx), fixpoint=True
+        )
         changed |= remove_dead_functions(module)
         changed |= remove_dead_globals(module)
         return changed
+
+
+def cleanup_function(func: Function, ctx: Optional[PassContext] = None) -> bool:
+    """Run fold + dce + simplifycfg on *func* until none changes it.
+
+    The worklists are seeded once: the CFG step queues what its edits
+    may have affected, and the loop stops once draining them changes
+    nothing, since the CFG step already ran to its own fixpoint.
+    """
+    work = CleanupWork(func)
+    changed = run_instcombine(func, work) | run_dce(func, work)
+    while True:
+        preds = ctx.changes.predecessors(func) if ctx is not None else None
+        if not run_simplify_cfg(func, work, preds):
+            return changed
+        changed = True
+        if not (run_instcombine(func, work) | run_dce(func, work)):
+            return changed

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.ir.cfg import DominatorTree, predecessors, reverse_post_order
+from repro.ir.cfg import DominatorTree
 from repro.ir.instructions import (
     Alloca,
     BinOp,
@@ -59,43 +59,53 @@ def _readonly_base(value: Value) -> bool:
 
 def _operand_key(value: Value):
     """Constants are interned by value; everything else by identity."""
-    from repro.ir.values import Constant
-
     if isinstance(value, Constant):
         return ("c", str(value.type), value.value)
     return id(value)
 
 
-def _value_number_key(inst: Instruction) -> Optional[Tuple]:
-    """Hashable identity for pure instructions."""
-    if isinstance(inst, BinOp):
-        a, b = _operand_key(inst.lhs), _operand_key(inst.rhs)
-        if inst.opcode in _COMMUTATIVE and repr(b) < repr(a):
-            a, b = b, a
-        return ("bin", inst.opcode, a, b)
-    if isinstance(inst, ICmp):
-        return ("icmp", inst.predicate, _operand_key(inst.lhs), _operand_key(inst.rhs))
-    if isinstance(inst, FCmp):
-        return ("fcmp", inst.predicate, _operand_key(inst.operands[0]),
-                _operand_key(inst.operands[1]))
-    if isinstance(inst, Cast):
-        return ("cast", inst.opcode, _operand_key(inst.source), inst.type)
-    if isinstance(inst, PtrAdd):
-        return ("ptradd", _operand_key(inst.pointer), _operand_key(inst.offset))
-    if isinstance(inst, Select):
-        return ("select", _operand_key(inst.condition),
-                _operand_key(inst.true_value), _operand_key(inst.false_value))
-    if isinstance(inst, Call):
-        callee = inst.callee
-        if callee is not None:
-            info = intrinsic_info(callee.name)
-            if info is not None and info.readnone and info.invariance in ("grid", "team", "thread"):
-                # Identity intrinsics are idempotent within one thread.
-                return ("intr", callee.name, tuple(_operand_key(a) for a in inst.args))
-        return None
-    if isinstance(inst, Load) and not inst.is_volatile and _readonly_base(inst.pointer):
+def _binop_key(inst: BinOp) -> Tuple:
+    a, b = _operand_key(inst.lhs), _operand_key(inst.rhs)
+    if inst.opcode in _COMMUTATIVE and repr(b) < repr(a):
+        a, b = b, a
+    return ("bin", inst.opcode, a, b)
+
+
+def _call_key(inst: Call) -> Optional[Tuple]:
+    callee = inst.callee
+    if callee is not None:
+        info = intrinsic_info(callee.name)
+        if info is not None and info.readnone and info.invariance in ("grid", "team", "thread"):
+            # Identity intrinsics are idempotent within one thread.
+            return ("intr", callee.name, tuple(_operand_key(a) for a in inst.args))
+    return None
+
+
+def _load_key(inst: Load) -> Optional[Tuple]:
+    if not inst.is_volatile and _readonly_base(inst.pointer):
         return ("roload", _operand_key(inst.pointer), inst.type)
     return None
+
+
+#: Hashable identity of pure instructions, per instruction class.
+_KEYS = {
+    BinOp: _binop_key,
+    ICmp: lambda i: ("icmp", i.predicate, _operand_key(i.lhs), _operand_key(i.rhs)),
+    FCmp: lambda i: ("fcmp", i.predicate, _operand_key(i.operands[0]),
+                     _operand_key(i.operands[1])),
+    Cast: lambda i: ("cast", i.opcode, _operand_key(i.source), i.type),
+    PtrAdd: lambda i: ("ptradd", _operand_key(i.pointer), _operand_key(i.offset)),
+    Select: lambda i: ("select", _operand_key(i.condition),
+                       _operand_key(i.true_value), _operand_key(i.false_value)),
+    Call: _call_key,
+    Load: _load_key,
+}
+
+
+def _value_number_key(inst: Instruction) -> Optional[Tuple]:
+    """Hashable identity for pure instructions."""
+    key = _KEYS.get(type(inst))
+    return key(inst) if key is not None else None
 
 
 class GVNPass:
@@ -104,13 +114,12 @@ class GVNPass:
     name = "gvn"
 
     def run(self, module: Module, ctx: PassContext) -> bool:
-        changed = False
-        for func in list(module.defined_functions()):
-            changed |= self._run_on_function(func)
-        return changed
+        return ctx.changes.run_per_function(
+            self.name, module, lambda func: self._run_on_function(func, ctx)
+        )
 
-    def _run_on_function(self, func: Function) -> bool:
-        dom = DominatorTree(func)
+    def _run_on_function(self, func: Function, ctx: PassContext) -> bool:
+        dom = ctx.changes.dominator_tree(func)
         children: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in func.blocks}
         for block, idom in dom.idom.items():
             if idom is not None:
@@ -121,20 +130,21 @@ class GVNPass:
         def visit(block: BasicBlock) -> None:
             nonlocal changed
             added: List[Tuple] = []
-            for inst in list(block.instructions):
-                if inst.parent is None:
-                    continue
+            erased = False
+            for inst in block.instructions:
                 key = _value_number_key(inst)
                 if key is None:
                     continue
                 existing = table.get(key)
                 if existing is not None:
                     inst.replace_all_uses_with(existing)
-                    inst.erase_from_parent()
-                    changed = True
+                    inst.detach()
+                    erased = changed = True
                 else:
                     table[key] = inst
                     added.append(key)
+            if erased:
+                block.purge_detached()
             for child in children[block]:
                 visit(child)
             for key in added:
@@ -152,9 +162,12 @@ class GVNPass:
         return changed
 
 
-def _natural_loops(func: Function, dom: DominatorTree) -> List[Tuple[BasicBlock, Set[BasicBlock]]]:
+def _natural_loops(
+    func: Function,
+    dom: DominatorTree,
+    preds: Dict[BasicBlock, List[BasicBlock]],
+) -> List[Tuple[BasicBlock, Set[BasicBlock]]]:
     """(header, body-blocks) for each back edge, merged per header."""
-    preds = predecessors(func)
     loops: Dict[BasicBlock, Set[BasicBlock]] = {}
     for block in func.blocks:
         for succ in block.successors():
@@ -176,18 +189,17 @@ class LICMPass:
     name = "licm"
 
     def run(self, module: Module, ctx: PassContext) -> bool:
-        changed = False
-        for func in list(module.defined_functions()):
-            changed |= self._run_on_function(func)
-        return changed
+        return ctx.changes.run_per_function(
+            self.name, module, lambda func: self._run_on_function(func, ctx)
+        )
 
-    def _run_on_function(self, func: Function) -> bool:
+    def _run_on_function(self, func: Function, ctx: PassContext) -> bool:
         if not func.blocks:
             return False
-        dom = DominatorTree(func)
-        preds = predecessors(func)
+        dom = ctx.changes.dominator_tree(func)
+        preds = ctx.changes.predecessors(func)
         changed = False
-        for header, body in _natural_loops(func, dom):
+        for header, body in _natural_loops(func, dom, preds):
             outside = [p for p in preds.get(header, ()) if p not in body]
             if len(outside) != 1:
                 continue
@@ -202,10 +214,13 @@ class LICMPass:
             def invariant(value: Value) -> bool:
                 return value not in defined_in_loop
 
+            # Walk the body in function order: ``body`` is a set, and
+            # hoisting order decides the preheader's instruction order.
+            body_blocks = [b for b in func.blocks if b in body]
             hoisted = True
             while hoisted:
                 hoisted = False
-                for block in list(body):
+                for block in body_blocks:
                     for inst in list(block.instructions):
                         if inst.parent is None or isinstance(inst, (Phi, Alloca)):
                             continue

@@ -58,7 +58,10 @@ def inline_call(call: Call) -> None:
 
     # Split the caller block at the call site.
     call_index = caller_block.instructions.index(call)
-    after_block = caller.add_block(f"{caller_block.name}.split", after=caller_block)
+    taken = {b.name for b in caller.blocks}
+    after_block = caller.add_block(
+        f"{caller_block.name}.split", after=caller_block, taken=taken
+    )
     tail = caller_block.instructions[call_index + 1 :]
     del caller_block.instructions[call_index + 1 :]
     for inst in tail:
@@ -82,7 +85,7 @@ def inline_call(call: Call) -> None:
         value_map[formal] = actual
     block_map: Dict[BasicBlock, BasicBlock] = {}
     for block in clone_order:
-        block_map[block] = caller.add_block(f"{callee.name}.{block.name}")
+        block_map[block] = caller.add_block(f"{callee.name}.{block.name}", taken=taken)
 
     returns: List[Tuple[Optional[Value], BasicBlock]] = []
     cloned_phis: List[Tuple[Phi, Phi]] = []
@@ -112,13 +115,23 @@ def inline_call(call: Call) -> None:
                 new_phi.add_incoming(value_map.get(value, value), block_map[block])
 
     # Hoist inlined allocas to the caller entry so loops around the call
-    # site don't re-allocate (LLVM does the same).
+    # site don't re-allocate (LLVM does the same).  Each lands first
+    # after the entry's phis, so they end up in reverse visiting order.
     entry = caller.entry
+    hoisted: List[Instruction] = []
     for block in block_map.values():
-        for inst in list(block.instructions):
-            if isinstance(inst, Alloca) and block is not entry:
-                block.instructions.remove(inst)
-                entry.insert(entry.first_non_phi_index(), inst)
+        if any(isinstance(inst, Alloca) for inst in block.instructions):
+            hoisted.extend(i for i in block.instructions if isinstance(i, Alloca))
+            block.instructions[:] = [
+                i for i in block.instructions if not isinstance(i, Alloca)
+            ]
+    if hoisted:
+        hoisted.reverse()
+        for inst in hoisted:
+            inst.parent = entry
+        at = entry.first_non_phi_index()
+        entry.instructions[at:at] = hoisted
+        caller.touch()
 
     # Route the caller into the inlined entry.
     caller_block.append(Br(block_map[callee.entry]))
@@ -142,7 +155,8 @@ def inline_call(call: Call) -> None:
 
     # Finally remove the call itself (it sat at the end of caller_block
     # before the br we just appended).
-    caller_block.instructions.remove(call)
+    assert caller_block.instructions[-2] is call
+    del caller_block.instructions[-2]
     call.drop_all_references()
     call.parent = None
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.ir.cfg import DominatorTree, predecessors, reachable_blocks
+from repro.ir.cfg import DominatorTree, reachable_blocks
 from repro.ir.instructions import Alloca, Instruction, Load, Phi, Store
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.types import Type
@@ -43,10 +43,14 @@ def _promotable(alloca: Alloca) -> Optional[Type]:
 
 
 def _dominance_frontiers(
-    func: Function, dom: DominatorTree
-) -> Dict[BasicBlock, Set[BasicBlock]]:
-    df: Dict[BasicBlock, Set[BasicBlock]] = {b: set() for b in func.blocks}
-    preds = predecessors(func)
+    func: Function,
+    dom: DominatorTree,
+    preds: Dict[BasicBlock, List[BasicBlock]],
+) -> Dict[BasicBlock, Dict[BasicBlock, None]]:
+    """Each block's dominance frontier, as an insertion-ordered set
+    (a dict): phi placement walks it, so its order must not depend on
+    hashing."""
+    df: Dict[BasicBlock, Dict[BasicBlock, None]] = {b: {} for b in func.blocks}
     for block in func.blocks:
         if len(preds[block]) < 2:
             continue
@@ -54,7 +58,7 @@ def _dominance_frontiers(
         for pred in preds[block]:
             runner = pred
             while runner is not None and runner is not idom and runner in dom.idom:
-                df[runner].add(block)
+                df[runner][block] = None
                 runner = dom.idom.get(runner)
     return df
 
@@ -63,12 +67,13 @@ class PromoteAllocasPass:
     name = "mem2reg"
 
     def run(self, module: Module, ctx: PassContext) -> bool:
-        changed = False
-        for func in list(module.defined_functions()):
-            changed |= self._run_on_function(func)
-        return changed
+        # One run promotes every promotable alloca, so it is a fixpoint.
+        return ctx.changes.run_per_function(
+            self.name, module, lambda func: self._run_on_function(func, ctx),
+            fixpoint=True,
+        )
 
-    def _run_on_function(self, func: Function) -> bool:
+    def _run_on_function(self, func: Function, ctx: PassContext) -> bool:
         reachable = reachable_blocks(func)
         allocas: List[Alloca] = []
         types: Dict[Alloca, Type] = {}
@@ -81,18 +86,19 @@ class PromoteAllocasPass:
         if not allocas:
             return False
 
-        dom = DominatorTree(func)
-        df = _dominance_frontiers(func, dom)
+        dom = ctx.changes.dominator_tree(func)
+        preds = ctx.changes.predecessors(func)
+        df = _dominance_frontiers(func, dom, preds)
         alloca_set = set(allocas)
 
         # Phi placement at iterated dominance frontiers of the stores.
         phis: Dict[BasicBlock, Dict[Alloca, Phi]] = {b: {} for b in func.blocks}
         for alloca in allocas:
-            def_blocks: Set[BasicBlock] = set()
+            def_blocks: Dict[BasicBlock, None] = {}
             for use in alloca.uses:
                 user = use.user
                 if isinstance(user, Store) and user.parent in reachable:
-                    def_blocks.add(user.parent)
+                    def_blocks[user.parent] = None
             work = list(def_blocks)
             placed: Set[BasicBlock] = set()
             while work:
@@ -112,7 +118,6 @@ class PromoteAllocasPass:
         for block, idom in dom.idom.items():
             if idom is not None:
                 children[idom].append(block)
-        preds = predecessors(func)
 
         stacks: Dict[Alloca, List[Value]] = {a: [] for a in allocas}
 
@@ -125,14 +130,19 @@ class PromoteAllocasPass:
             for alloca, phi in phis[block].items():
                 stacks[alloca].append(phi)
                 pushed.append(alloca)
-            for inst in list(block.instructions):
+            erased = False
+            for inst in block.instructions:
                 if isinstance(inst, Load) and inst.pointer in alloca_set:
                     inst.replace_all_uses_with(current(inst.pointer))
-                    inst.erase_from_parent()
+                    inst.detach()
+                    erased = True
                 elif isinstance(inst, Store) and inst.pointer in alloca_set:
                     stacks[inst.pointer].append(inst.value)
                     pushed.append(inst.pointer)
-                    inst.erase_from_parent()
+                    inst.detach()
+                    erased = True
+            if erased:
+                block.purge_detached()
             for succ in block.successors():
                 for alloca, phi in phis[succ].items():
                     phi.add_incoming(current(alloca), block)

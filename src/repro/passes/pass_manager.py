@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol
+from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
-from repro.ir.module import Module
+from repro.ir.cfg import DominatorTree, predecessors
+from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.verifier import VerificationError, verify_module
 from repro.passes.remarks import RemarkCollector
 
@@ -40,6 +41,11 @@ class PassTiming:
     #: export the run as a host span (0.0 on records predating the
     #: field, e.g. cache-restored pickles).
     started_s: float = 0.0
+    #: Defined functions the pass ran on, and those change-driven
+    #: scheduling skipped because nothing touched them since the pass
+    #: last saw them stable (module-wide passes visit every function).
+    functions_visited: int = 0
+    functions_skipped: int = 0
 
     @property
     def instructions_removed(self) -> int:
@@ -57,6 +63,8 @@ class PassAggregate:
     changed_runs: int = 0
     wall_time_s: float = 0.0
     instructions_removed: int = 0
+    functions_visited: int = 0
+    functions_skipped: int = 0
 
 
 @dataclass
@@ -93,7 +101,15 @@ class PipelineStats:
             agg.changed_runs += int(t.changed)
             agg.wall_time_s += t.wall_time_s
             agg.instructions_removed += t.instructions_removed
+            agg.functions_visited += t.functions_visited
+            agg.functions_skipped += t.functions_skipped
         return out
+
+    def functions_visited(self) -> int:
+        return sum(t.functions_visited for t in self.timings)
+
+    def functions_skipped(self) -> int:
+        return sum(t.functions_skipped for t in self.timings)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready summary (``python -m repro.bench report``)."""
@@ -103,6 +119,8 @@ class PipelineStats:
             "total_pass_time_s": self.total_pass_time_s(),
             "total_instructions_removed": self.total_instructions_removed(),
             "pass_runs": len(self.timings),
+            "functions_visited": self.functions_visited(),
+            "functions_skipped": self.functions_skipped(),
             "per_pass": [
                 {
                     "name": agg.name,
@@ -110,6 +128,8 @@ class PipelineStats:
                     "changed_runs": agg.changed_runs,
                     "wall_time_s": agg.wall_time_s,
                     "instructions_removed": agg.instructions_removed,
+                    "functions_visited": agg.functions_visited,
+                    "functions_skipped": agg.functions_skipped,
                 }
                 for agg in self.by_pass().values()
             ],
@@ -119,7 +139,8 @@ class PipelineStats:
         """Human-readable per-pass table (``python -m repro.bench timings``)."""
         header = (
             f"{'pass':>24s} | {'runs':>4s} | {'chg':>4s} | "
-            f"{'time (ms)':>9s} | {'insts -':>8s}"
+            f"{'time (ms)':>9s} | {'insts -':>8s} | {'visited':>7s} | "
+            f"{'skipped':>7s}"
         )
         lines = [header, "-" * len(header)]
         for agg in sorted(
@@ -127,13 +148,16 @@ class PipelineStats:
         ):
             lines.append(
                 f"{agg.name:>24s} | {agg.runs:>4d} | {agg.changed_runs:>4d} | "
-                f"{agg.wall_time_s * 1e3:>9.2f} | {agg.instructions_removed:>8d}"
+                f"{agg.wall_time_s * 1e3:>9.2f} | {agg.instructions_removed:>8d} | "
+                f"{agg.functions_visited:>7d} | {agg.functions_skipped:>7d}"
             )
         lines.append(
             f"{len(self.timings)} pass runs over {self.rounds} fixpoint rounds; "
             f"pipeline {self.wall_time_s * 1e3:.2f} ms "
             f"(passes {self.total_pass_time_s() * 1e3:.2f} ms), "
-            f"{self.total_instructions_removed()} instructions removed net"
+            f"{self.total_instructions_removed()} instructions removed net; "
+            f"functions visited {self.functions_visited()}, "
+            f"skipped {self.functions_skipped()}"
         )
         return "\n".join(lines)
 
@@ -219,6 +243,73 @@ class Pass(Protocol):
     def run(self, module: Module, ctx: "PassContext") -> bool: ...
 
 
+class ChangeTracker:
+    """Change-driven scheduling state of one pipeline run.
+
+    Every function carries an ``ir_version`` that the IR mutation paths
+    bump (:meth:`repro.ir.module.Function.touch`).  Per pass name, the
+    tracker remembers the version each function had when that pass last
+    saw it stable: the pass ran and changed nothing, or the pass iterates
+    to its own fixpoint.  While the version still matches, running the
+    pass on the function again would find nothing to do, so
+    :meth:`run_per_function` skips it.  The CFG analyses are cached per
+    function under the same version, so any change invalidates them.
+    """
+
+    def __init__(self) -> None:
+        self._stable: Dict[str, Dict[Function, int]] = {}
+        self._preds: Dict[Function, Tuple[int, Dict[BasicBlock, List[BasicBlock]]]] = {}
+        self._domtree: Dict[Function, Tuple[int, DominatorTree]] = {}
+        #: Functions visited/skipped by the current pass run; ``None``
+        #: until a change-driven pass reports (module-wide passes).
+        self.visited: Optional[int] = None
+        self.skipped = 0
+
+    def run_per_function(
+        self,
+        name: str,
+        module: Module,
+        body: Callable[[Function], bool],
+        fixpoint: bool = False,
+    ) -> bool:
+        """Run *body* on every defined function pass *name* has not seen
+        stable.  *fixpoint* says one run of *body* leaves the function a
+        fixpoint of the pass even when it changed it."""
+        stable = self._stable.setdefault(name, {})
+        changed = False
+        visited = skipped = 0
+        for func in list(module.defined_functions()):
+            if stable.get(func) == func.ir_version:
+                skipped += 1
+                continue
+            visited += 1
+            func_changed = body(func)
+            changed |= func_changed
+            if fixpoint or not func_changed:
+                stable[func] = func.ir_version
+        self.visited = (self.visited or 0) + visited
+        self.skipped += skipped
+        return changed
+
+    def predecessors(self, func: Function) -> Dict[BasicBlock, List[BasicBlock]]:
+        """Cached CFG predecessors of *func*; callers must not mutate it."""
+        hit = self._preds.get(func)
+        if hit is not None and hit[0] == func.ir_version:
+            return hit[1]
+        preds = predecessors(func)
+        self._preds[func] = (func.ir_version, preds)
+        return preds
+
+    def dominator_tree(self, func: Function) -> DominatorTree:
+        """Cached dominator tree of *func*."""
+        hit = self._domtree.get(func)
+        if hit is not None and hit[0] == func.ir_version:
+            return hit[1]
+        dom = DominatorTree(func, self.predecessors(func))
+        self._domtree[func] = (func.ir_version, dom)
+        return dom
+
+
 @dataclass
 class PassContext:
     """Shared state threaded through a pipeline run."""
@@ -231,6 +322,8 @@ class PassContext:
     stats: Optional[PipelineStats] = None
     #: Label of the pipeline phase currently executing (for stats).
     phase: str = ""
+    #: Per-function change tracking and cached CFG analyses.
+    changes: ChangeTracker = field(default_factory=ChangeTracker)
 
 
 class PassManager:
@@ -244,19 +337,27 @@ class PassManager:
     def run(self, module: Module) -> bool:
         changed_any = False
         stats = self.ctx.stats
+        changes = self.ctx.changes
         for p in self.passes:
             before = module_instruction_count(module) if stats else 0
+            changes.visited, changes.skipped = None, 0
             start = time.perf_counter()
             changed = p.run(module, self.ctx)
             if stats is not None:
+                elapsed = time.perf_counter() - start
+                visited = changes.visited
+                if visited is None:
+                    visited = sum(1 for _ in module.defined_functions())
                 stats.record(PassTiming(
                     name=p.name,
                     phase=self.ctx.phase,
-                    wall_time_s=time.perf_counter() - start,
+                    wall_time_s=elapsed,
                     changed=changed,
                     instructions_before=before,
                     instructions_after=module_instruction_count(module),
                     started_s=start,
+                    functions_visited=visited,
+                    functions_skipped=changes.skipped,
                 ))
             self.run_log.append(f"{p.name}: {'changed' if changed else 'no-op'}")
             changed_any |= changed

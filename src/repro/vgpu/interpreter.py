@@ -230,6 +230,10 @@ class VirtualGPU:
         #: path instead (bit-parity by construction), mirroring the
         #: fault/sanitizer fallback below.
         self._warp_lockstep_ok = GV_OLD_TEAM_CONTEXT not in module.globals
+        #: Teams of the current launch that fell back from a requested
+        #: warp engine to the decoded one: team id -> reason (see
+        #: :meth:`_warp_fallback_reason`); reported on the LaunchResult.
+        self._warp_fallbacks: Dict[int, str] = {}
         #: Launch-time state read by the ``gpu.*`` geometry intrinsics.
         self._launch: Optional[LaunchConfig] = None
         self._dynamic_shared_bytes = 0
@@ -409,18 +413,35 @@ class VirtualGPU:
                       else resolve_fault_plan(spec.faults))
         saved = (self.engine, self.fault_plan)
         self.engine, self.fault_plan = engine, fault_plan
+        self._warp_fallbacks = {}
         started = time.monotonic()
         try:
             profile = self._execute_spec(spec)
         finally:
             self.engine, self.fault_plan = saved
+        fallback = None
+        if self._warp_fallbacks:
+            fallback = ",".join(sorted(set(self._warp_fallbacks.values())))
+            if len(self._warp_fallbacks) == spec.num_teams:
+                engine = ENGINE_DECODED  # no team ran on the warp engine
         return LaunchResult(
             spec=spec,
             profile=profile,
             engine=engine,
+            engine_fallback=fallback,
             started_s=started,
             finished_s=time.monotonic(),
         )
+
+    def _warp_fallback_reason(self, fstate) -> Optional[str]:
+        """Why a team cannot run on the warp engine, or None if it can."""
+        if not self._warp_lockstep_ok:
+            return "old-runtime"
+        if self.sanitize:
+            return "sanitize"
+        if fstate is not None:
+            return "faults"
+        return None
 
     def _execute_spec(self, spec: LaunchSpec) -> KernelProfile:
         """Run one launch with the device-level engine/faults in effect."""
@@ -629,12 +650,12 @@ class VirtualGPU:
         # Old-runtime modules take the same fallback — their shared
         # stack is not lockstep-safe (see ``_warp_lockstep_ok``).
         engine = self.engine
-        warp = (
-            engine == ENGINE_WARP
-            and fstate is None
-            and not self.sanitize
-            and self._warp_lockstep_ok
-        )
+        warp = False
+        if engine == ENGINE_WARP:
+            reason = self._warp_fallback_reason(fstate)
+            warp = reason is None
+            if reason is not None:
+                self._warp_fallbacks[team_id] = reason
         decoded = engine == ENGINE_DECODED or (engine == ENGINE_WARP and not warp)
         for thread in threads:
             thread.stats = stats

@@ -150,8 +150,16 @@ class LaunchResult:
     spec: LaunchSpec
     #: The kernel profile (None only for failed served requests).
     profile: Optional[KernelProfile] = None
-    #: Engine that produced the result (post-resolution).
+    #: Engine that produced the result (post-resolution).  A warp
+    #: request whose every team fell back to the scalar engine reports
+    #: ``decoded``.
     engine: str = ""
+    #: Why teams of a warp request ran on the decoded engine instead:
+    #: ``old-runtime`` (the module's shared stack is not lockstep-safe),
+    #: ``sanitize`` or ``faults`` (comma-joined if several); None when
+    #: no team fell back.  Kept out of the engine-parity-compared
+    #: :class:`KernelProfile`.
+    engine_fallback: Optional[str] = None
     ok: bool = True
     #: CrashReport for a failed request — or, on a successful serve
     #: retry, for the internal engine fault that forced the retry.

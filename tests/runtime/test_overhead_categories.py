@@ -114,3 +114,28 @@ class TestCompiledModuleCoverage:
         assert not stale, (
             f"{runtime} categorizes functions it no longer defines: {stale}"
         )
+
+
+class TestExecutedCallCounts:
+    """Counters count executed calls: zero once inlining folded the
+    runtime away, the raw traffic at ``-O0``."""
+
+    @pytest.mark.parametrize("target", ["OPENMP_OLD", "OPENMP_NEW"])
+    def test_o0_build_counts_runtime_calls(self, target):
+        from repro.apps import xsbench
+        from repro.frontend.driver import CompileOptions, Target
+        from repro.passes.pass_manager import PipelineConfig
+
+        options = CompileOptions(Target[target], pipeline=PipelineConfig.o0())
+        calls = xsbench.run(options, engine="decoded").profile.runtime_calls
+        assert calls["target_init"] == 264
+        assert calls["worksharing"] == 256
+        assert calls["parallel_region"] == 8
+        assert calls["shared_stack"] == 16
+
+    def test_nightly_build_inlines_every_counted_call(self):
+        from repro.apps import xsbench
+        from repro.bench.builds import NEW_RT_NIGHTLY, build_options
+
+        options = build_options()[NEW_RT_NIGHTLY]
+        assert not any(xsbench.run(options, engine="decoded").profile.runtime_calls.values())

@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.bench.builds import BUILD_ORDER, build_options
+from repro.bench.builds import BUILD_ORDER, NEW_RT, build_options
 from repro.bench.harness import APPS
 from repro.faults.report import CrashReport
 from repro.ir import I64, Module, verify_module
@@ -27,7 +27,7 @@ from repro.serve import (
 )
 from repro.toolchain.service import ToolchainSession
 from repro.trace.collector import TraceCollector, install
-from repro.vgpu import ENGINE_DECODED, ENGINE_LEGACY, VirtualGPU
+from repro.vgpu import ENGINE_DECODED, ENGINE_LEGACY, ENGINE_WARP, VirtualGPU
 from tests.conftest import make_kernel
 
 pytestmark = pytest.mark.serve
@@ -286,6 +286,37 @@ class TestDevicePool:
         warm = pool.acquire(module)
         assert warm is gpu
         assert warm.memory.global_seg.brk == baseline_brk
+
+    @pytest.mark.parametrize("engine", [ENGINE_DECODED, ENGINE_WARP])
+    def test_released_device_image_equals_a_fresh_device(self, engine):
+        # A real app launch writes host inputs, kernel outputs, runtime
+        # state and device mallocs all over the global segment; release
+        # must rewind global and constant memory to exactly the image a
+        # freshly loaded device starts from.  (New RT: Old RT launches
+        # never run on the warp engine.)
+        app = APPS["xsbench"]
+        size = dict(app.default_size(), n_lookups=64)
+        compiled = ToolchainSession().compile(app.build_program(size),
+                                              build_options()[NEW_RT])
+        pool = DevicePool()
+        gpu = pool.acquire(compiled.module)
+        host_args, verify = app.prepare(gpu, size)
+        result = gpu.run(LaunchSpec(
+            kernel=app.KERNEL, num_teams=app.TEAMS, threads_per_team=app.THREADS,
+            args=tuple(compiled.abi(app.KERNEL).marshal(gpu, host_args)),
+            engine=engine,
+        ))
+        assert result.engine == engine
+        assert verify(gpu, host_args) < 1e-9
+        fresh = VirtualGPU(compiled.module)
+        assert gpu.memory.global_seg.data != fresh.memory.global_seg.data
+        pool.release(gpu, compiled.module, None)
+        for name in ("global_seg", "constant_seg"):
+            warm_seg = getattr(gpu.memory, name)
+            fresh_seg = getattr(fresh.memory, name)
+            assert warm_seg.data == fresh_seg.data, name
+            assert (warm_seg.brk, warm_seg.high_water, warm_seg.allocations) == (
+                fresh_seg.brk, fresh_seg.high_water, fresh_seg.allocations), name
 
     def test_sanitized_devices_are_never_pooled(self):
         module = _barrier_loop_module(3)
