@@ -120,8 +120,9 @@ def inline_call(call: Call) -> None:
     entry = caller.entry
     hoisted: List[Instruction] = []
     for block in block_map.values():
-        if any(isinstance(inst, Alloca) for inst in block.instructions):
-            hoisted.extend(i for i in block.instructions if isinstance(i, Alloca))
+        allocas = [i for i in block.instructions if isinstance(i, Alloca)]
+        if allocas:
+            hoisted.extend(allocas)
             block.instructions[:] = [
                 i for i in block.instructions if not isinstance(i, Alloca)
             ]

@@ -257,3 +257,48 @@ class TestDeadGlobalsAndFunctions:
         cleanup.run(module, ctx())
         assert "inner" not in module.functions
         assert "outer" not in module.functions
+
+
+class TestChangeDrivenCleanup:
+    """A function cleanup left stable is skipped until something it
+    depends on changes: its own body, or a module-level fact folding
+    reads (a global's constness/initializer, a callee's readnone)."""
+
+    def test_stable_function_is_skipped(self, module):
+        func, b = make_function(module)
+        b.ret(b.add(func.args[0], 1))
+        c = ctx()
+        CleanupPass().run(module, c)
+        assert (c.changes.visited, c.changes.skipped) == (1, 0)
+        c.changes.visited, c.changes.skipped = None, 0
+        CleanupPass().run(module, c)
+        assert (c.changes.visited, c.changes.skipped) == (0, 1)
+
+    def test_global_becoming_constant_revisits_its_users(self, module):
+        gv = module.add_global(GlobalVariable(
+            "flag", I32, addrspace=AddressSpace.CONSTANT,
+            initializer=[Constant(I32, 7)]))
+        func, b = make_function(module)
+        b.ret(b.load(I32, gv))
+        c = ctx()
+        CleanupPass().run(module, c)
+        assert any(i.opcode == "load" for i in func.instructions())
+        gv.is_constant = True
+        assert CleanupPass().run(module, c)
+        ret = func.entry.instructions[-1]
+        assert isinstance(ret.return_value, Constant) and ret.return_value.value == 7
+
+    def test_callee_becoming_readnone_revisits_its_callers(self, module):
+        from repro.ir import FunctionType
+        from repro.ir.intrinsics import declare_intrinsic
+
+        tid = module.declare("gpu.thread_id", FunctionType(I32, ()))
+        func, b = make_function(module)
+        b.call(tid, [])  # dead, but not removable while not readnone
+        b.ret(func.args[0])
+        c = ctx()
+        CleanupPass().run(module, c)
+        assert any(i.opcode == "call" for i in func.instructions())
+        declare_intrinsic(module, "gpu.thread_id")
+        assert CleanupPass().run(module, c)
+        assert not any(i.opcode == "call" for i in func.instructions())

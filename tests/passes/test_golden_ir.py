@@ -65,13 +65,9 @@ CELLS = list(golden_cells())
 PAPER_CELLS = [cell for cell in CELLS if "|build|" in cell[0]]
 
 
-def _load() -> Dict[str, Dict]:
-    return json.loads(DATA.read_text())
-
-
 @pytest.fixture(scope="module")
 def golden() -> Dict[str, Dict]:
-    return _load()
+    return json.loads(DATA.read_text())
 
 
 def test_golden_covers_every_cell(golden):
