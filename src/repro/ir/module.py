@@ -139,13 +139,6 @@ class Function(Value):
         #: compare it against the value they last saw.
         self.ir_version = 0
 
-    def __setstate__(self, state) -> None:
-        # Pickles written before ``ir_version`` existed lack the slot.
-        self.ir_version = 0
-        _, slots = state
-        for key, value in slots.items():
-            setattr(self, key, value)
-
     def touch(self) -> None:
         """Record that this function's body changed.
 
@@ -172,19 +165,8 @@ class Function(Value):
     def return_type(self) -> Type:
         return self.function_type.return_type
 
-    def add_block(
-        self,
-        name: str,
-        after: Optional[BasicBlock] = None,
-        taken: Optional[Set[str]] = None,
-    ) -> BasicBlock:
-        """Append (or insert after *after*) a block named *name*, made
-        unique.  Callers adding many blocks may pass *taken*, the set of
-        block names in use, which this call keeps up to date."""
-        if taken is None:
-            taken = {b.name for b in self.blocks}
-        block = BasicBlock(self._unique_block_name(name, taken), self)
-        taken.add(block.name)
+    def add_block(self, name: str, after: Optional[BasicBlock] = None) -> BasicBlock:
+        block = BasicBlock(self._unique_block_name(name), self)
         if after is None:
             self.blocks.append(block)
         else:
@@ -192,8 +174,8 @@ class Function(Value):
         self.ir_version += 1
         return block
 
-    @staticmethod
-    def _unique_block_name(base: str, existing: Set[str]) -> str:
+    def _unique_block_name(self, base: str) -> str:
+        existing = {b.name for b in self.blocks}
         if base not in existing:
             return base
         i = 1

@@ -70,8 +70,7 @@ class Value:
         changed: for module-level facts folding reads off the value
         itself (a global's constness or initializer, a callee's
         attributes), which change no function body."""
-        # ``uses`` is still unset while a pickled global is restored.
-        for use in getattr(self, "uses", ()):
+        for use in self.uses:
             use.user.touch()
 
     @property

@@ -16,7 +16,7 @@ of ``-verify-each``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List
 
 from repro.ir.cfg import DominatorTree, predecessors, reachable_blocks
 from repro.ir.instructions import Call, Instruction, Phi
@@ -90,24 +90,11 @@ def _verify_function(func: Function) -> List[str]:
                     f"{where}: phi in {block.name} incoming {got} != preds {want}"
                 )
 
-    # Use-list consistency + operand validity.  Values with many uses
-    # (globals, thread ids) get their use set built once, not scanned
-    # per operand.
-    use_sets: Dict[int, Set[Tuple[int, int]]] = {}
-
-    def has_use(op: Value, inst: Instruction, index: int) -> bool:
-        uses = op.uses
-        if len(uses) <= 8:
-            return any(u.user is inst and u.index == index for u in uses)
-        keys = use_sets.get(id(op))
-        if keys is None:
-            keys = use_sets[id(op)] = {(id(u.user), u.index) for u in uses}
-        return (id(inst), index) in keys
-
+    # Use-list consistency + operand validity.
     for block in func.blocks:
         for inst in block.instructions:
             for index, op in enumerate(inst.operands):
-                if not has_use(op, inst, index):
+                if not any(u.user is inst and u.index == index for u in op.uses):
                     errors.append(
                         f"{where}: missing use-list entry for operand {index} "
                         f"of {inst.opcode} in {block.name}"

@@ -307,8 +307,30 @@ class Worklist:
             self.queue.append(value)
 
     def push_users(self, value: Value) -> None:
-        for use in value.uses:
-            self.push(use.user)
+        """Queue every instruction whose simplification may depend on
+        *value*: its users, and -- transitively -- the users of those
+        users that simplifiers look through (``resolve_pointer_base``,
+        the ptradd-chain combine and the pointer-difference compare read
+        past ptradds, casts and adds to their operands)."""
+        pending = [value]
+        walked = {value}
+        while pending:
+            for use in pending.pop().uses:
+                user = use.user
+                if user not in self.queued:
+                    self.queued.add(user)
+                    self.queue.append(user)
+                if type(user) in _LOOKED_THROUGH and user not in walked:
+                    walked.add(user)
+                    pending.append(user)
+
+
+#: Instruction classes some simplifier reads *through* to their operands
+#: (see :func:`resolve_pointer_base`, :func:`_combine_ptradd_chain`,
+#: :func:`_fold_pointer_difference_icmp`, :func:`_simplify_cast`): when
+#: one of their operands changes, their users may fold even if they do
+#: not.
+_LOOKED_THROUGH = (PtrAdd, Cast, BinOp)
 
 
 class CleanupWork:
@@ -342,6 +364,13 @@ class CleanupWork:
         """RAUW *inst* with *value*; its users may simplify further."""
         self.combine.push_users(inst)
         inst.replace_all_uses_with(value)
+
+    def operand_changed(self, inst: Instruction) -> None:
+        """*inst* got a new operand: it and what reads through it may
+        simplify further."""
+        self.combine.push(inst)
+        if type(inst) in _LOOKED_THROUGH:
+            self.combine.push_users(inst)
 
 
 def run_instcombine(func: Function, work: Optional[CleanupWork] = None) -> bool:
@@ -403,29 +432,27 @@ def run_dce(func: Function, work: Optional[CleanupWork] = None) -> bool:
     return changed
 
 
-def _drop_phi_edge(phi: Phi, block: BasicBlock, work: Optional[CleanupWork]) -> None:
+def _drop_phi_edge(phi: Phi, block: BasicBlock, work: CleanupWork) -> None:
     """Remove *phi*'s incoming edge from *block*, if it has one."""
     try:
         value = phi.incoming_value_for(block)
     except KeyError:
         return
     phi.remove_incoming(block)
-    if work is not None:
-        work.combine.push(phi)
-        work.dead.push(value)
+    work.combine.push(phi)
+    work.dead.push(value)
 
 
 def _replace_terminator(block: BasicBlock, target: BasicBlock,
-                        work: Optional[CleanupWork]) -> None:
+                        work: CleanupWork) -> None:
     """Replace *block*'s conditional branch with ``br target``."""
     term = block.instructions.pop()
     operands = list(term.operands)
     term.drop_all_references()
     term.parent = None
     block.append(Br(target))
-    if work is not None:
-        for op in operands:
-            work.dead.push(op)
+    for op in operands:
+        work.dead.push(op)
 
 
 def run_simplify_cfg(
@@ -438,9 +465,11 @@ def run_simplify_cfg(
 
     *preds* (the CFG predecessors on entry, e.g. a cached map) is copied,
     and the copy is kept up to date as edges change instead of being
-    recomputed.  With *work*, instructions the edits may have made
-    foldable or dead are queued on it.
+    recomputed.  Instructions the edits may have made foldable or dead
+    are queued on *work* (a throwaway one when not given).
     """
+    if work is None:
+        work = CleanupWork(func)
     preds = {b: list(ps) for b, ps in (preds or predecessors(func)).items()}
     changed = False
     again = True
@@ -513,13 +542,11 @@ def run_simplify_cfg(
                         # A reachable user of a dead def can only be a phi
                         # on a removed edge; drop it defensively.
                         use.user.set_operand(use.index, UndefValue(inst.type))
-                        if work is not None:
-                            work.combine.push(use.user)
+                        work.operand_changed(use.user)
             for block in dead:
-                if work is not None:
-                    for inst in block.instructions:
-                        for op in inst.operands:
-                            work.dead.push(op)
+                for inst in block.instructions:
+                    for op in inst.operands:
+                        work.dead.push(op)
                 func.remove_block(block)
                 del preds[block]
             again = changed = True
@@ -537,8 +564,7 @@ def run_simplify_cfg(
                 continue
             if block.phis():
                 for phi in block.phis():
-                    if work is not None:
-                        work.combine.push_users(phi)
+                    work.combine.push_users(phi)
                     phi.replace_all_uses_with(phi.incoming_value_for(pred))
                     phi.remove_incoming(pred)
                     phi.erase_from_parent()
@@ -616,7 +642,7 @@ class CleanupPass:
         return changed
 
 
-def cleanup_function(func: Function, ctx: Optional[PassContext] = None) -> bool:
+def cleanup_function(func: Function, ctx: PassContext) -> bool:
     """Run fold + dce + simplifycfg on *func* until none changes it.
 
     The worklists are seeded once: the CFG step queues what its edits
@@ -626,8 +652,7 @@ def cleanup_function(func: Function, ctx: Optional[PassContext] = None) -> bool:
     work = CleanupWork(func)
     changed = run_instcombine(func, work) | run_dce(func, work)
     while True:
-        preds = ctx.changes.predecessors(func) if ctx is not None else None
-        if not run_simplify_cfg(func, work, preds):
+        if not run_simplify_cfg(func, work, ctx.changes.predecessors(func)):
             return changed
         changed = True
         if not (run_instcombine(func, work) | run_dce(func, work)):

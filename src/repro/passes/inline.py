@@ -58,10 +58,7 @@ def inline_call(call: Call) -> None:
 
     # Split the caller block at the call site.
     call_index = caller_block.instructions.index(call)
-    taken = {b.name for b in caller.blocks}
-    after_block = caller.add_block(
-        f"{caller_block.name}.split", after=caller_block, taken=taken
-    )
+    after_block = caller.add_block(f"{caller_block.name}.split", after=caller_block)
     tail = caller_block.instructions[call_index + 1 :]
     del caller_block.instructions[call_index + 1 :]
     for inst in tail:
@@ -85,7 +82,7 @@ def inline_call(call: Call) -> None:
         value_map[formal] = actual
     block_map: Dict[BasicBlock, BasicBlock] = {}
     for block in clone_order:
-        block_map[block] = caller.add_block(f"{callee.name}.{block.name}", taken=taken)
+        block_map[block] = caller.add_block(f"{callee.name}.{block.name}")
 
     returns: List[Tuple[Optional[Value], BasicBlock]] = []
     cloned_phis: List[Tuple[Phi, Phi]] = []

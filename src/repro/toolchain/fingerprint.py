@@ -31,7 +31,7 @@ from repro.ir.types import Type
 
 #: Bump when the serialization (or anything compiled results embed)
 #: changes shape, so stale on-disk cache entries can never be returned.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
 @contextmanager

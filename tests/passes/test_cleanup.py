@@ -302,3 +302,45 @@ class TestChangeDrivenCleanup:
         declare_intrinsic(module, "gpu.thread_id")
         assert CleanupPass().run(module, c)
         assert not any(i.opcode == "call" for i in func.instructions())
+
+    def test_load_through_ptradd_revisited_when_offset_folds_later(self, module):
+        """A constant-global load whose ptradd offset folds only after the
+        load was visited still folds, exactly as a full re-sweep does."""
+        from repro.ir.instructions import BinOp
+        from repro.ir.printer import print_module
+        from tests.passes.test_pass_fuzz import _force_full_sweep
+
+        def build(module):
+            gv = module.add_global(GlobalVariable(
+                "tbl", I32, addrspace=AddressSpace.CONSTANT,
+                initializer=[Constant(I32, 7), Constant(I32, 9)],
+                is_constant=True))
+            func, b = make_function(module, params=(I64,))
+            # The offset is defined in a block listed after its use (as
+            # after inlining), so the load is visited before it folds.
+            use = func.add_block("use")
+            define = func.add_block("define")
+            b.br(define)
+            zero = define.append(BinOp("mul", func.args[0], Constant(I64, 0)))
+            off = define.append(BinOp("add", zero, Constant(I64, 4)))
+            b.set_insert_point(define)
+            b.br(use)
+            b.set_insert_point(use)
+            b.ret(b.load(I32, b.ptradd(gv, off)))
+            return func
+
+        func = build(module)
+        CleanupPass().run(module, ctx())
+        verify_module(module)
+        ret = func.blocks[-1].instructions[-1]
+        assert isinstance(ret.return_value, Constant) and ret.return_value.value == 9
+
+        from repro.ir import Module
+
+        reference = Module(module.name)
+        build(reference)
+        with pytest.MonkeyPatch.context() as patch:
+            _force_full_sweep(patch)
+            CleanupPass().run(reference, ctx())
+        assert print_module(module, canonical=True) == print_module(
+            reference, canonical=True)

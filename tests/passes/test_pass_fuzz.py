@@ -213,3 +213,24 @@ class TestChangeDrivenEqualsFullSweep:
             run_openmp_opt_pipeline(module, config)
 
         assert _optimized_ir(runtime, run, False) == _optimized_ir(runtime, run, True)
+
+
+def _golden_cells():
+    from tests.passes.test_golden_ir import CELLS
+
+    return CELLS
+
+
+@pytest.mark.parametrize("cell,app,options", _golden_cells(),
+                         ids=[c for c, _, _ in _golden_cells()])
+def test_full_sweep_matches_golden_app_cells(cell, app, options):
+    """On every golden app cell, the full-sweep reference optimizes to
+    the recorded IR too (the golden test pins the change-driven side)."""
+    import json
+
+    from tests.passes.test_golden_ir import DATA, fingerprint_cell
+
+    with pytest.MonkeyPatch.context() as patch:
+        _force_full_sweep(patch)
+        fingerprint = fingerprint_cell(app, options)
+    assert fingerprint == json.loads(DATA.read_text())["fingerprints"][cell]
